@@ -10,13 +10,17 @@ walks the whole live-ingest story:
 2. a background "capture box" thread publishes the victims' pcaps into a
    drop directory one at a time, using the atomic ``.inprogress``-then-rename
    convention (:meth:`CapturedTrace.to_pcap_atomic` writes the same way);
-3. a follow-mode :class:`StreamingAttackService` — what ``repro watch``
-   runs — tails the directory, attacks each capture as it finishes landing,
-   and appends one durable verdict line per capture to the results log;
-4. the service is then re-run in ``--once`` mode to show the resume
-   property: every capture is recognised by content fingerprint and skipped,
-   and a batch ``repro attack --results-log`` over the same directory writes
-   a byte-identical log.
+3. a follow-mode :class:`FleetWatchService` with one unlabelled source —
+   what ``repro watch DIR`` runs — tails the directory, attacks each capture
+   as it finishes landing, and appends one durable verdict line per capture
+   to the results log;
+4. the watch is then re-run in ``--once`` mode to show the resume property
+   (every capture is recognised by content fingerprint and skipped), and a
+   fresh ``--once`` drain of the now-quiescent directory writes a log
+   byte-identical to a batch ``repro attack --results-log`` over it.  The
+   follow-mode log holds the same verdict lines, though possibly in another
+   order: a capture whose ``.inprogress`` marker no scan happened to see
+   waits out the watcher's quiet window before it is trusted.
 
 Run with ``python examples/live_ingest.py``.
 """
@@ -34,7 +38,12 @@ from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.iitm import IITMBandersnatchDataset
 from repro.dataset.shards import iter_shard_training_sessions
 from repro.experiments.report import format_table
-from repro.ingest import INPROGRESS_SUFFIX, StreamingAttackService
+from repro.ingest import (
+    INPROGRESS_SUFFIX,
+    FleetSource,
+    FleetWatchService,
+    StreamingAttackService,
+)
 from repro.streaming.session import SessionConfig
 
 
@@ -43,6 +52,13 @@ def publish_capture_atomically(source: Path, drop: Path) -> None:
     staged = drop / (source.name + INPROGRESS_SUFFIX)
     shutil.copy(source, staged)
     os.replace(staged, drop / source.name)
+
+
+def watch(service: StreamingAttackService, drop: Path, **options) -> None:
+    """Run ``repro watch DROP``'s loop: a fleet of one unlabelled source."""
+    FleetWatchService(
+        service, [FleetSource(label=None, directory=drop)]
+    ).run(**options)
 
 
 def main() -> None:
@@ -81,7 +97,8 @@ def main() -> None:
     print("=== 3. follow-mode ingest: verdicts as captures land ===")
     log_path = workdir / "results.jsonl"
     service = StreamingAttackService(library=attack.library, log_path=log_path)
-    service.run(
+    watch(
+        service,
         drop,
         follow=True,
         poll_interval=0.1,
@@ -99,15 +116,31 @@ def main() -> None:
     print("=== 4. restart + batch path: resume skips, logs byte-identical ===")
     resumed = StreamingAttackService(library=attack.library, log_path=log_path)
     skips: list[str] = []
-    resumed.run(drop, follow=False, on_skip=lambda path, reason: skips.append(path.name))
+    watch(
+        resumed,
+        drop,
+        follow=False,
+        on_skip=lambda path, reason: skips.append(path.name),
+    )
     print(f"restart skipped {len(skips)} already-attacked captures")
 
     batch_log = workdir / "batch.jsonl"
     batch = StreamingAttackService(library=attack.library, log_path=batch_log)
     batch.process(sorted(drop.glob("*.pcap")))
-    identical = log_path.read_bytes() == batch_log.read_bytes()
-    print(f"batch attack log byte-identical to the live log: {identical}")
+    once_log = workdir / "once.jsonl"
+    watch(
+        StreamingAttackService(library=attack.library, log_path=once_log),
+        drop,
+        follow=False,
+    )
+    identical = once_log.read_bytes() == batch_log.read_bytes()
+    print(f"--once drain log byte-identical to the batch attack log: {identical}")
     assert identical
+    same_lines = sorted(log_path.read_bytes().splitlines()) == sorted(
+        batch_log.read_bytes().splitlines()
+    )
+    print(f"live log holds the batch log's verdict lines: {same_lines}")
+    assert same_lines
 
 
 if __name__ == "__main__":

@@ -122,17 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
             "(by content\n"
             "  fingerprint), so kill-and-restart never duplicates or "
             "drops a verdict.\n"
-            "  repeat --source to watch a fleet of capture directories "
-            "through one\n"
-            "  bounded queue (--queue-high/--queue-low watermarks park "
-            "overflow per\n"
-            "  source), with per-source verdict attribution, hot library "
+            "  every watch runs captures through one bounded queue "
+            "(--queue-high/--queue-low\n"
+            "  watermarks park overflow per source), with hot library "
             "reload\n"
             "  (--reload-library, swapped between captures) and a "
             "--metrics-port\n"
-            "  /metrics JSON endpoint; a fleet --once log is "
-            "byte-identical to the\n"
-            "  single-source runs concatenated in sorted source order\n"
+            "  /metrics JSON endpoint; repeat --source to watch a fleet of "
+            "capture\n"
+            "  directories with per-source verdict attribution, whose --once "
+            "log is\n"
+            "  byte-identical to the one-source runs concatenated in sorted "
+            "source order\n"
             "\n"
             "performance:\n"
             "  generated shards carry a columnar sidecar "
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "fleet mode: a capture source directory (repeatable, replaces "
+            "a labelled capture source directory (repeatable, replaces "
             "the positional directory); every verdict is stamped with the "
             "source that produced it, and sources are processed in sorted "
             "label order so --once output is reproducible"
@@ -435,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=False,
         help=(
-            "fleet mode: watch each --source directory recursively, keying "
-            "captures by their relative path"
+            "watch each drop directory recursively, keying captures by "
+            "their relative path"
         ),
     )
     watch.add_argument(
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=commands.DEFAULT_QUEUE_HIGH,
         metavar="N",
         help=(
-            "fleet mode: high watermark of the bounded ingest queue — at "
+            "high watermark of the bounded ingest queue — at "
             f"most N captures pending at once (default "
             f"{commands.DEFAULT_QUEUE_HIGH}); overflow parks per source "
             "and a queue-saturated event is emitted"
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "fleet mode: low watermark — parked captures are promoted once "
+            "low watermark — parked captures are promoted once "
             "the queue drains to N (default: half of --queue-high)"
         ),
     )
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "fleet mode: hot-reload staging path for the fingerprint "
+            "hot-reload staging path for the fingerprint "
             "library; when its content changes the new library is swapped "
             "in between captures (never mid-attack), and a corrupt stage "
             "is reported and ignored"
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help=(
-            "fleet mode: serve GET /metrics JSON (arrival-to-verdict "
+            "serve GET /metrics JSON (arrival-to-verdict "
             "latency percentiles, queue depth, per-source accuracy) on "
             "127.0.0.1:PORT; 0 picks a free port"
         ),

@@ -10,7 +10,6 @@ ground-truth labels attached so the defended traffic can still be scored.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -42,16 +41,6 @@ class RecordDefense(ABC):
         if self._instance_name is not None:
             return self._instance_name
         return "defense"
-
-    @property
-    def name(self) -> str:
-        """Deprecated alias of :attr:`instance_name`; removed next release."""
-        warnings.warn(
-            "RecordDefense.name is deprecated; use RecordDefense.instance_name",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.instance_name
 
     @abstractmethod
     def transform(self, records: Sequence[ClientRecord]) -> list[ClientRecord]:

@@ -2,18 +2,19 @@
 
 The online front end the paper's threat model implies — an eavesdropper
 classifies a viewer's choices as the encrypted traffic arrives, not from an
-archived corpus.  :class:`CaptureWatcher` detects *finished* captures,
-:class:`IngestQueue` deduplicates and orders arrivals,
-:class:`StreamingAttackService` attacks them through the engine's streaming
-fan-out and appends durable verdicts to a resumable :class:`ResultsLog`.
+archived corpus.  Every ``repro watch`` is a :class:`FleetWatchService`: one
+:class:`CaptureWatcher` per source detects *finished* captures, a
+:class:`BoundedIngestQueue` deduplicates and orders arrivals with explicit
+backpressure, and :class:`StreamingAttackService` attacks them through the
+engine's streaming fan-out, appending durable verdicts to a resumable
+:class:`ResultsLog`.
 
-The fleet layer scales that to many capture boxes at once:
-:class:`FleetWatchService` multiplexes N sources (validated and canonically
-ordered by :func:`validate_sources`) through a :class:`BoundedIngestQueue`
-with explicit backpressure, hot-reloads the fingerprint library via
-:class:`LibraryReloadWatcher`, and publishes :class:`IngestMetrics` over a
-:class:`MetricsServer` ``/metrics`` endpoint.  Surfaced on the command line
-as ``repro watch`` (one positional directory, or ``--source`` repeated).
+A positional ``repro watch DIR`` is a fleet of one unlabelled source, so its
+verdicts carry no attribution; ``--source`` (repeatable) names labelled
+sources, validated and canonically ordered by :func:`validate_sources`.
+Either form can watch recursively, hot-reload the fingerprint library via
+:class:`LibraryReloadWatcher`, and publish :class:`IngestMetrics` over a
+:class:`MetricsServer` ``/metrics`` endpoint.
 """
 
 from repro.ingest.fleet import (
@@ -52,7 +53,6 @@ from repro.ingest.watcher import (
     DEFAULT_QUIET_SECONDS,
     INPROGRESS_SUFFIX,
     CaptureWatcher,
-    IngestQueue,
 )
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "FleetWatchService",
     "INPROGRESS_SUFFIX",
     "IngestMetrics",
-    "IngestQueue",
     "LibraryReloadWatcher",
     "METRICS_PATH",
     "MetricsServer",

@@ -1,24 +1,26 @@
-"""The multi-source watch fleet: many capture boxes, one attack service.
+"""The watch loop: capture sources in, one attack service, verdicts out.
 
-``repro watch --source A --source B …`` scales the PR 5 single-directory
-watcher to a fleet of capture sources.  Each source is a drop directory
+Every ``repro watch`` runs here.  ``repro watch --source A --source B …``
+is a fleet of labelled sources; a positional ``repro watch DIR`` is a fleet
+of one source whose label is ``None``.  Each source is a drop directory
 (optionally watched recursively) with its own :class:`CaptureWatcher`;
 arrivals from every source funnel through one :class:`BoundedIngestQueue`
 into one :class:`~repro.ingest.service.StreamingAttackService`, and every
-verdict is stamped with the source that produced it.
+verdict is stamped with the label of the source that produced it (an
+unlabelled source's verdicts carry none, so its log is byte-identical to
+``repro attack --results-log`` over the same pcaps).
 
 Three properties drive the design:
 
-* **Determinism (the PR 5 wall, multiplied).**  Sources are processed in
-  *canonical order* — sorted by their attribution label — and within a
-  source captures keep the watcher's name order.  Offers enter the queue in
-  that order, the queue is FIFO, and parked overflow is promoted in the
-  same order, so the global processing order is canonical under any queue
-  bound or worker count.  A multi-source ``--once`` run therefore writes a
-  results log byte-identical to N serial single-source runs concatenated in
-  canonical source order, and a kill/restart converges on the same bytes
-  (the killed run wrote a canonical prefix; the restart appends the
-  canonical suffix).
+* **Determinism.**  Sources are processed in *canonical order* — sorted by
+  their attribution label — and within a source captures keep the
+  watcher's name order.  Offers enter the queue in that order, the queue
+  is FIFO, and parked overflow is promoted in the same order, so the
+  global processing order is canonical under any queue bound or worker
+  count.  A multi-source ``--once`` run therefore writes a results log
+  byte-identical to N serial one-source runs concatenated in canonical
+  source order, and a kill/restart converges on the same bytes (the killed
+  run wrote a canonical prefix; the restart appends the canonical suffix).
 
 * **Bounded memory.**  The queue holds at most ``queue_high`` pending
   captures; arrivals beyond the bound park in per-source pending sets (a
@@ -56,9 +58,13 @@ DEFAULT_QUEUE_LOW = 128
 
 @dataclass(frozen=True)
 class FleetSource:
-    """One capture source: the label verdicts carry and the directory."""
+    """One capture source: the label verdicts carry and the directory.
 
-    label: str
+    ``label`` is ``None`` for the positional ``repro watch DIR`` form, whose
+    verdicts carry no source attribution.
+    """
+
+    label: str | None
     directory: Path
 
 
@@ -112,12 +118,18 @@ def validate_sources(
     return tuple(sorted((source for source, _ in resolved), key=lambda s: s.label))
 
 
-def validate_watermarks(high: int, low: int) -> None:
-    """Queue watermark sanity, shared by the CLI spec and the queue itself."""
+def validate_watermarks(high: int, low: int | None = None) -> int:
+    """Queue watermark sanity, shared by the CLI spec and the queue itself.
+
+    Returns the effective low watermark: ``low``, or half of ``high`` when
+    ``low`` is ``None``.
+    """
     if high < 1:
         raise IngestError(
             f"--queue-high must be a positive capture count, got {high}"
         )
+    if low is None:
+        return high // 2
     if low < 0:
         raise IngestError(f"--queue-low must be >= 0, got {low}")
     if high <= low:
@@ -126,6 +138,7 @@ def validate_watermarks(high: int, low: int) -> None:
             "— the queue must drain below the low watermark before parked "
             "captures are promoted"
         )
+    return low
 
 
 class BoundedIngestQueue:
@@ -148,15 +161,15 @@ class BoundedIngestQueue:
         self,
         high_watermark: int = DEFAULT_QUEUE_HIGH,
         low_watermark: int = DEFAULT_QUEUE_LOW,
-        on_saturated: Callable[[str, int], None] | None = None,
+        on_saturated: Callable[[str | None, int], None] | None = None,
     ) -> None:
         validate_watermarks(high_watermark, low_watermark)
         self._high = high_watermark
         self._low = low_watermark
         self._on_saturated = on_saturated
-        self._pending: deque[tuple[str, Path]] = deque()
-        self._parked: dict[str, deque[Path]] = {}
-        self._seen: set[tuple[str, str]] = set()
+        self._pending: deque[tuple[str | None, Path]] = deque()
+        self._parked: dict[str | None, deque[Path]] = {}
+        self._seen: set[tuple[str | None, str]] = set()
         self._saturated = False
         self._peak_depth = 0
         self._saturation_events = 0
@@ -192,7 +205,7 @@ class BoundedIngestQueue:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def offer(self, source: str, paths: Iterable[Path]) -> list[Path]:
+    def offer(self, source: str | None, paths: Iterable[Path]) -> list[Path]:
         """Enqueue one source's new arrivals; returns the accepted ones.
 
         Dedup key is ``(source, path)`` — each capture enters the fleet
@@ -220,7 +233,7 @@ class BoundedIngestQueue:
                         self._on_saturated(source, len(self._pending))
         return accepted
 
-    def drain_next_batch(self) -> tuple[str, list[Path]] | None:
+    def drain_next_batch(self) -> tuple[str | None, list[Path]] | None:
         """Pop the longest same-source prefix of the queue, then refill.
 
         Returns ``(source, paths)`` or ``None`` when nothing is pending.
@@ -376,9 +389,9 @@ class FleetWatchService:
         reload_watcher: LibraryReloadWatcher | None = None,
         quiet_seconds: float = DEFAULT_QUIET_SECONDS,
         clock: Callable[[], float] = time.time,
-        on_saturated: Callable[[str, int], None] | None = None,
+        on_saturated: Callable[[str | None, int], None] | None = None,
         on_reloaded: Callable[[str, str], None] | None = None,
-        on_arrival: Callable[[str, Path], None] | None = None,
+        on_arrival: Callable[[str | None, Path], None] | None = None,
     ) -> None:
         self._service = service
         self._sources = tuple(sources)
@@ -438,18 +451,19 @@ class FleetWatchService:
     ) -> list[CaptureVerdict]:
         """Drain every source, optionally following them for new arrivals.
 
-        The loop structure mirrors the single-source service: scan every
-        source (canonical order), offer arrivals into the bounded queue,
-        drain same-source batches through ``service.process`` (with the
-        hot-reload check between batches), then poll again.  One-shot mode
+        Each pass scans every source (canonical order), offers arrivals into
+        the bounded queue, drains same-source batches through
+        ``service.process`` (with the hot-reload check between batches),
+        then polls again.  One-shot mode
         (``follow=False``) performs a single quiescent pass over every
         source and drains the queue to empty — parked overflow included —
         before returning.
 
         A batch failure kills a one-shot run (the caller asked for exactly
         this drain) but only warns — via ``on_error`` — in follow mode; the
-        failed batch's unlogged captures are re-examined on restart, exactly
-        as in the single-source loop.
+        failed batch's unlogged captures are not retried by this process (a
+        corrupt capture would loop forever) but are re-examined on restart,
+        since only logged verdicts are skipped.
         """
         fresh: list[CaptureVerdict] = []
         while True:

@@ -64,9 +64,9 @@ class CaptureVerdict:
     server_ip: str | None
     pattern: tuple[bool, ...]
     truth: tuple[bool, ...] | None
-    #: Which capture source produced this verdict (multi-source fleet mode);
-    #: ``None`` for single-directory runs, whose log lines must stay
-    #: byte-identical to the pre-fleet format.
+    #: Which ``--source`` produced this verdict; ``None`` for a positional
+    #: watch or a batch attack, whose log lines must stay byte-identical to
+    #: the unattributed format.
     source: str | None = None
 
     @property
@@ -94,8 +94,8 @@ class CaptureVerdict:
         """JSON-friendly form (the log line's payload).
 
         The ``source`` key appears only when attribution is set: a
-        single-directory run's lines carry exactly the historical fields, so
-        the pre-fleet byte-identity contracts survive unchanged.
+        positional watch's lines carry exactly the unattributed fields, so
+        they stay byte-identical to a batch attack's.
         """
         record: dict[str, object] = {
             "version": RESULTS_LOG_VERSION,
@@ -257,7 +257,7 @@ def parse_results_log_bytes(
 def canonical_verdict_key(verdict: CaptureVerdict) -> tuple[str, str, str]:
     """The canonical results-log ordering: source, then capture, then content.
 
-    Sourceless (single-directory) verdicts sort as the empty source.  Within
+    Sourceless (positional-watch) verdicts sort as the empty source.  Within
     one source a ``--once`` drain attacks captures in name order and logs at
     most one verdict per content fingerprint, so sorting a source's verdicts
     by this key reproduces the order a serial single-source run wrote them

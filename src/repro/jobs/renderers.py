@@ -233,8 +233,8 @@ class ConsoleRenderer:
             if data.get("truth") is not None
             else ""
         )
-        # Fleet verdicts carry a source label; single-directory verdicts
-        # omit the key entirely so the legacy line stays golden-pinned.
+        # ``--source`` verdicts carry a source label; a positional watch's
+        # omit the key entirely so its line stays golden-pinned.
         attribution = f"[{data['source']}] " if "source" in data else ""
         self._print(
             f"verdict: {attribution}{data['capture']} ({data['condition_key']}) "

@@ -52,9 +52,11 @@ from repro.dataset.sidecar import fold_shard_sidecar
 from repro.engine.executor import ProgressCallback
 from repro.exceptions import DatasetError, JobError, ReproError
 from repro.ingest.fleet import (
+    FleetSource,
     FleetWatchService,
     LibraryReloadWatcher,
     validate_sources,
+    validate_watermarks,
 )
 from repro.ingest.metrics import METRICS_PATH, IngestMetrics, MetricsServer
 from repro.ingest.service import (
@@ -712,92 +714,46 @@ class JobRunner:
     # -- watch -------------------------------------------------------------
 
     def _run_watch(self, spec: WatchJob) -> JobResult:
-        """Attack captures as they land in a drop directory.
+        """Attack captures as they land in one or more drop directories.
 
         The online counterpart of ``repro attack`` over a directory,
         sharing its capture→verdict code path
-        (:class:`StreamingAttackService`): detected captures are attacked
-        as they finish landing, each verdict is durably appended to the
-        results log, and a running aggregate-accuracy table follows every
-        batch.  ``follow=False`` drains the directory and exits — over a
-        quiescent directory its results log is byte-identical to ``repro
-        attack --results-log`` on the same pcaps.  A restarted watch
-        resumes from the log, skipping captures already attacked (by
-        content fingerprint).
+        (:class:`StreamingAttackService`): every watch is a
+        :class:`FleetWatchService`, whose sources' captures are attacked as
+        they finish landing, each verdict durably appended to the results
+        log, and a running aggregate-accuracy table follows every verdict.
+        A restarted watch resumes from the log, skipping captures already
+        attacked (by content fingerprint).
 
-        With ``--source`` directories the spec routes to the fleet branch
-        instead: N watched sources through one bounded queue, one shared
-        results log, every verdict stamped with its source.
+        A positional directory is a fleet of one unlabelled source: its
+        verdicts carry no source, its log defaults into the directory, its
+        table is broken down per environment, and over a quiescent
+        directory a ``--once`` log is byte-identical to ``repro attack
+        --results-log`` on the same pcaps.  ``--source`` directories are
+        validated and canonically ordered up front; every verdict carries
+        its source label, the table is broken down per source, and a
+        ``--once`` log is byte-identical to serial one-source runs
+        concatenated in canonical source order.
         """
         if spec.sources:
-            return self._run_watch_fleet(spec)
-        directory = self._workspace.resolve(spec.directory)
-        if not directory.is_dir():
-            # Checked before the service builds its results log (which
-            # defaults into this directory), so the error names the actual
-            # mistake.
-            raise ReproError(
-                f"capture drop directory {directory} does not exist (create it "
-                "before watching, or point at a dataset's traces/)"
+            sources = validate_sources(
+                spec.sources, resolve=self._workspace.resolve
             )
+        else:
+            directory = self._workspace.resolve(spec.directory)
+            if not directory.is_dir():
+                # Checked before the service builds its results log (which
+                # defaults into this directory), so the error names the
+                # actual mistake.
+                raise ReproError(
+                    f"capture drop directory {directory} does not exist "
+                    "(create it before watching, or point at a dataset's "
+                    "traces/)"
+                )
+            sources = (FleetSource(label=None, directory=directory),)
+        # validate() requires --results-log with --source, so only a
+        # positional watch defaults its log into the watched directory.
         log_path = spec.results_log or str(Path(spec.directory) / "results.jsonl")
-        service = self._build_attack_service(spec, log_path)
-        resumed = len(service.verdicts)
-        if resumed:
-            self._bus.emit(ev.RESUMED, count=resumed, path=log_path)
-
-        def on_skip(path: Path, reason: str) -> None:
-            self._bus.emit(ev.CAPTURE_SKIPPED, capture=path.name, reason=reason)
-
-        def on_verdict(verdict, result: AttackResult) -> None:
-            self._bus.emit(
-                ev.VERDICT,
-                capture=verdict.capture,
-                fingerprint=verdict.fingerprint,
-                condition_key=verdict.condition_key,
-                pattern=list(verdict.pattern),
-                truth=list(verdict.truth) if verdict.truth is not None else None,
-                correct=verdict.correct_questions,
-                questions=verdict.question_count,
-            )
-            self._bus.emit(ev.AGGREGATE, rows=service.aggregate_rows())
-
-        try:
-            service.run(
-                directory,
-                follow=spec.follow,
-                poll_interval=spec.poll_interval,
-                on_verdict=on_verdict,
-                on_skip=on_skip,
-                on_error=lambda error: self._bus.emit(
-                    ev.WARNING,
-                    text=f"batch failed, still watching: {error}",
-                ),
-            )
-        except KeyboardInterrupt:
-            self._bus.emit(ev.STOPPED)
-        self._bus.emit(
-            ev.RESULTS_LOG, path=log_path, total=len(service.verdicts)
-        )
-        return JobResult(
-            job=spec.KIND,
-            artifacts=(self._workspace.artifact("results-log", log_path),),
-            summary={"verdicts": len(service.verdicts)},
-        )
-
-    def _run_watch_fleet(self, spec: WatchJob) -> JobResult:
-        """Watch a fleet of capture sources through one bounded queue.
-
-        Sources are validated and canonically ordered up front; every
-        verdict carries its source label, and the running aggregate table
-        is broken down per source.  ``--once`` drains every source and
-        exits with a results log byte-identical to serial single-source
-        fleet runs concatenated in canonical source order — the PR 5
-        watch-vs-attack wall, multiplied across sources.
-        """
-        sources = validate_sources(
-            spec.sources, resolve=self._workspace.resolve
-        )
         # The reload stage is validated before the main library loads so a
         # bad --reload-library fails on its own flag, not on a coincidence
         # of which file was read first.
@@ -806,7 +762,6 @@ class JobRunner:
             reload_watcher = LibraryReloadWatcher(
                 self._resolve(spec.reload_library)
             )
-        log_path = spec.results_log  # validate() requires it in fleet mode
         service = self._build_attack_service(spec, log_path)
         resumed = len(service.verdicts)
         if resumed:
@@ -822,16 +777,15 @@ class JobRunner:
                 ev.METRICS_SERVING, host=host, port=port, path=METRICS_PATH
             )
 
-        queue_low = (
-            spec.queue_low
-            if spec.queue_low is not None
-            else spec.queue_high // 2
-        )
+        # Not read back from ``fleet.queue`` in the callbacks: a callback the
+        # fleet stores must not reference the fleet, or the cycle keeps the
+        # service and every verdict it holds alive past this job.
+        queue_low = validate_watermarks(spec.queue_high, spec.queue_low)
 
-        def on_saturated(source: str, depth: int) -> None:
+        def on_saturated(source: str | None, depth: int) -> None:
             self._bus.emit(
                 ev.QUEUE_SATURATED,
-                source=source,
+                source=spec.directory if source is None else source,
                 depth=depth,
                 high_watermark=spec.queue_high,
                 low_watermark=queue_low,
@@ -846,9 +800,9 @@ class JobRunner:
             if metrics is not None:
                 metrics.record_reload()
 
-        def on_arrival(source: str, path: Path) -> None:
+        def on_arrival(source: str | None, path: Path) -> None:
             if metrics is not None:
-                metrics.record_arrival(source, path.name)
+                metrics.record_arrival(source or "", path.name)
 
         def on_skip(path: Path, reason: str) -> None:
             self._bus.emit(ev.CAPTURE_SKIPPED, capture=path.name, reason=reason)
@@ -856,9 +810,14 @@ class JobRunner:
                 metrics.record_skip()
 
         def on_verdict(verdict, result: AttackResult) -> None:
+            # An unlabelled verdict omits the key: the console renderer
+            # attributes a verdict only when ``source`` is present.
+            attribution = (
+                {"source": verdict.source} if verdict.source is not None else {}
+            )
             self._bus.emit(
                 ev.VERDICT,
-                source=verdict.source,
+                **attribution,
                 capture=verdict.capture,
                 fingerprint=verdict.fingerprint,
                 condition_key=verdict.condition_key,
@@ -867,7 +826,11 @@ class JobRunner:
                 correct=verdict.correct_questions,
                 questions=verdict.question_count,
             )
-            rows = service.aggregate_rows_by_source()
+            rows = (
+                service.aggregate_rows_by_source()
+                if spec.sources
+                else service.aggregate_rows()
+            )
             self._bus.emit(ev.AGGREGATE, rows=rows)
             if metrics is not None:
                 metrics.record_verdict(verdict.source or "", verdict.capture)
@@ -879,7 +842,9 @@ class JobRunner:
                     high_watermark=queue.high_watermark,
                     low_watermark=queue.low_watermark,
                 )
-                metrics.set_source_rows(rows)
+                metrics.set_source_rows(
+                    rows if spec.sources else service.aggregate_rows_by_source()
+                )
 
         fleet = FleetWatchService(
             service=service,
@@ -911,13 +876,13 @@ class JobRunner:
         self._bus.emit(
             ev.RESULTS_LOG, path=log_path, total=len(service.verdicts)
         )
+        summary = {"verdicts": len(service.verdicts)}
+        if spec.sources:
+            summary["sources"] = len(sources)
         return JobResult(
             job=spec.KIND,
             artifacts=(self._workspace.artifact("results-log", log_path),),
-            summary={
-                "verdicts": len(service.verdicts),
-                "sources": len(sources),
-            },
+            summary=summary,
         )
 
     # -- inspect -----------------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping
 
 from repro.exceptions import JobError, ReproError
+from repro.ingest.fleet import validate_watermarks
 
 #: Default version stamped into serialised specs.  A spec class whose field
 #: set has evolved past the fleet-wide default carries its own ``SCHEMA``
@@ -221,12 +222,12 @@ class AttackJob(JobSpec):
 class WatchJob(JobSpec):
     """``repro watch``: attack captures as they land in drop directories.
 
-    Two shapes share the spec.  The historical single-directory mode sets
-    ``directory`` and behaves exactly as before (schema-1 payloads, which
-    lack every fleet field, migrate by default-fill).  Fleet mode sets
-    ``sources`` instead and unlocks the multi-source machinery: recursive
-    watching, the bounded queue's watermarks, hot library reload and the
-    ``/metrics`` endpoint.
+    Every watch runs as a fleet.  ``directory`` names one unlabelled source
+    whose results log defaults into it; ``sources`` names labelled ones,
+    which share the required ``results_log``.  Recursive watching, the
+    bounded queue's watermarks, hot library reload and the ``/metrics``
+    endpoint apply to either.  Schema-1 payloads, which lack every field
+    after ``workers``, migrate by default-fill.
     """
 
     KIND: ClassVar[str] = "watch"
@@ -260,39 +261,13 @@ class WatchJob(JobSpec):
                 "watch needs a drop directory: positional for the "
                 "single-source mode, or --source (repeatable) for a fleet"
             )
-        if not self.sources:
-            for flag, engaged in (
-                ("--recursive", self.recursive),
-                ("--reload-library", self.reload_library is not None),
-                ("--metrics-port", self.metrics_port is not None),
-            ):
-                if engaged:
-                    raise ReproError(
-                        f"{flag} is a fleet-mode flag; it requires --source"
-                    )
-        elif self.results_log is None:
+        if self.sources and self.results_log is None:
             raise ReproError(
                 "fleet mode needs --results-log: the sources share one "
                 "results log, and with several drop directories there is "
                 "no single place to default it into"
             )
-        if self.queue_high < 1:
-            raise ReproError(
-                f"--queue-high must be a positive capture count, got "
-                f"{self.queue_high}"
-            )
-        if self.queue_low is not None:
-            if self.queue_low < 0:
-                raise ReproError(
-                    f"--queue-low must be >= 0, got {self.queue_low}"
-                )
-            if self.queue_high <= self.queue_low:
-                raise ReproError(
-                    f"--queue-high ({self.queue_high}) must be greater than "
-                    f"--queue-low ({self.queue_low}) — the queue must drain "
-                    "below the low watermark before parked captures are "
-                    "promoted"
-                )
+        validate_watermarks(self.queue_high, self.queue_low)
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:
             raise ReproError(
                 f"--metrics-port must be a TCP port (0-65535), got "

@@ -138,11 +138,6 @@ from repro.cli.main import main
             id="watch-directory-and-source",
         ),
         pytest.param(
-            ["watch", "{tmp}", "--library", "lib.json", "--recursive"],
-            "error: --recursive is a fleet-mode flag; it requires --source",
-            id="watch-recursive-without-source",
-        ),
-        pytest.param(
             ["watch", "--source", "{tmp}", "--library", "lib.json"],
             "error: fleet mode needs --results-log: the sources share one "
             "results log, and with several drop directories there is no "

@@ -24,7 +24,7 @@ import io
 import json
 import os
 import shutil
-from contextlib import redirect_stdout
+from contextlib import chdir, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -158,10 +158,12 @@ def golden_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
             "-o", str(root / "lib-merged.json"),
         ],
     )
-    run(
-        "inspect",
-        ["inspect", str(_first_pcap(root / "sharded" / "shard-000" / "traces"))],
-    )
+    # Inspect a root-relative path: the flow table's ``=`` underline is as
+    # wide as its title, so an absolute path would tie the golden to the
+    # length of the tmp root.
+    with chdir(root):
+        pcap = _first_pcap(root / "sharded" / "shard-000" / "traces")
+        run("inspect", ["inspect", str(pcap.relative_to(root))])
     run("reproduce-figure1", ["reproduce", "--experiment", "figure1", "--quick"])
     return root, outputs
 

@@ -198,10 +198,3 @@ def test_registry_names_are_sorted_and_stable():
 def test_registry_built_defense_gets_param_bearing_instance_name():
     defense = build_defense("pad-to-constant", {"target_bytes": 4096})
     assert defense.instance_name == "pad-to-constant(target_bytes=4096)"
-
-
-def test_legacy_name_attribute_still_works_with_a_deprecation_warning():
-    defense = build_defense("split-records", {"parts": 3})
-    with pytest.deprecated_call():
-        legacy = defense.name
-    assert legacy == defense.instance_name

@@ -22,6 +22,7 @@ from repro.cli.main import main
 from repro.core.pipeline import WhiteMirrorAttack
 from repro.dataset.collection import default_study_script
 from repro.dataset.shards import iter_shard_training_sessions
+from repro.ingest.fleet import FleetSource, FleetWatchService
 from repro.ingest.log import ResultsLog, capture_fingerprint
 from repro.ingest.service import StreamingAttackService
 from repro.ingest.watcher import INPROGRESS_SUFFIX
@@ -114,6 +115,76 @@ class TestWatchMatchesBatchAttack:
         output = capsys.readouterr().out
         assert "Running aggregate accuracy" in output
         assert "aggregate: attacked" in output
+
+    def test_positional_watch_honours_queue_watermarks(
+        self, dataset_dir, library_path, tmp_path, capsys
+    ):
+        """A positional watch is a one-source fleet: tiny watermarks park
+        overflow and narrate it, and the log bytes still match the batch
+        attack's."""
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        assert len(captures) >= 3
+        watch_log = tmp_path / "watch.jsonl"
+        attack_log = tmp_path / "attack.jsonl"
+        capsys.readouterr()
+        assert (
+            main(
+                [
+                    "watch", str(drop), "--library", str(library_path),
+                    "--once", "--queue-high", "2", "--queue-low", "1",
+                    "--results-log", str(watch_log), "--log-format", "jsonl",
+                ]
+            )
+            == 0
+        )
+        events = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        saturated = [e for e in events if e["event"] == "queue-saturated"]
+        assert len(saturated) == 1
+        assert saturated[0]["source"] == str(drop)
+        assert saturated[0]["high_watermark"] == 2
+        assert saturated[0]["low_watermark"] == 1
+        verdicts = [e for e in events if e["event"] == "verdict"]
+        assert len(verdicts) == len(captures)
+        assert all("source" not in verdict for verdict in verdicts)
+        assert (
+            main(
+                [
+                    "attack", str(drop), str(library_path),
+                    "--results-log", str(attack_log),
+                ]
+            )
+            == 0
+        )
+        assert watch_log.read_bytes() == attack_log.read_bytes()
+
+    def test_positional_recursive_watch_attacks_nested_captures(
+        self, dataset_dir, library_path, tmp_path, capsys
+    ):
+        drop = tmp_path / "drop"
+        captures = _make_drop_directory(dataset_dir, drop)
+        # Nested captures resolve against the drop directory's metadata.
+        for index, capture in enumerate(captures[1:]):
+            nested = drop / f"box-{index}"
+            nested.mkdir()
+            os.replace(capture, nested / capture.name)
+        log = tmp_path / "log.jsonl"
+        flat = tmp_path / "flat.jsonl"
+        main(["watch", str(drop), "--library", str(library_path), "--once",
+              "--results-log", str(flat)])
+        assert _log_captures(flat) == [captures[0].name]
+        assert (
+            main(["watch", str(drop), "--library", str(library_path), "--once",
+                  "--recursive", "--results-log", str(log)])
+            == 0
+        )
+        assert sorted(_log_captures(log)) == sorted(p.name for p in captures)
+        assert all(
+            "source" not in json.loads(line)
+            for line in log.read_text().splitlines()
+        )
 
     def test_watch_default_log_lives_in_the_drop_directory(
         self, dataset_dir, library_path, tmp_path, capsys
@@ -349,8 +420,9 @@ class TestServiceRobustness:
             log_path=tmp_path / "log.jsonl",
             environment="linux/firefox",
         )
-        service.run(
-            drop,
+        FleetWatchService(
+            service, [FleetSource(label=None, directory=drop)]
+        ).run(
             follow=True,
             poll_interval=0.01,
             on_error=errors.append,
@@ -376,7 +448,9 @@ class TestServiceRobustness:
             environment="linux/firefox",
         )
         with pytest.raises(ReproError, match="corrupt.pcap"):
-            service.run(drop, follow=False)
+            FleetWatchService(
+                service, [FleetSource(label=None, directory=drop)]
+            ).run(follow=False)
 
     def test_duplicate_content_without_a_log_is_attacked_twice(
         self, dataset_dir, library_path, tmp_path

@@ -8,8 +8,9 @@ import os
 import pytest
 
 from repro.exceptions import IngestError
+from repro.ingest.fleet import BoundedIngestQueue
 from repro.ingest.log import CaptureVerdict, ResultsLog, capture_fingerprint
-from repro.ingest.watcher import INPROGRESS_SUFFIX, CaptureWatcher, IngestQueue
+from repro.ingest.watcher import INPROGRESS_SUFFIX, CaptureWatcher
 
 
 def _drop(directory, name, payload=b"pcap-bytes"):
@@ -147,34 +148,45 @@ class TestCaptureWatcher:
         assert watcher.scan(assume_quiescent=True) == []
 
 
+def _drain(queue):
+    """Every pending capture, in the order the queue hands them out."""
+    drained = []
+    while (batch := queue.drain_next_batch()) is not None:
+        drained.extend(batch[1])
+    return drained
+
+
 class TestIngestQueue:
+    """The bounded queue as a positional ``repro watch DIR`` drives it: one
+    unlabelled (``None``) source."""
+
     def test_offer_dedupes_and_orders(self, tmp_path):
-        queue = IngestQueue()
+        queue = BoundedIngestQueue()
         first = _drop(tmp_path, "b.pcap")
         second = _drop(tmp_path, "a.pcap")
-        accepted = queue.offer([first, second])
+        accepted = queue.offer(None, [first, second])
         # Name-sorted within one batch.
         assert [p.name for p in accepted] == ["a.pcap", "b.pcap"]
         # Re-offering is a no-op, even after draining.
-        assert queue.offer([first]) == []
-        assert [p.name for p in queue.drain()] == ["a.pcap", "b.pcap"]
-        assert queue.offer([second]) == []
-        assert queue.drain() == []
+        assert queue.offer(None, [first]) == []
+        assert [p.name for p in _drain(queue)] == ["a.pcap", "b.pcap"]
+        assert queue.offer(None, [second]) == []
+        assert _drain(queue) == []
 
     def test_arrival_order_is_preserved_across_batches(self, tmp_path):
-        queue = IngestQueue()
+        queue = BoundedIngestQueue()
         late = _drop(tmp_path, "a-late.pcap")
         early = _drop(tmp_path, "z-early.pcap")
-        queue.offer([early])
-        queue.offer([late])
+        queue.offer(None, [early])
+        queue.offer(None, [late])
         # First-seen order wins over name order across batches.
-        assert [p.name for p in queue.drain()] == ["z-early.pcap", "a-late.pcap"]
+        assert [p.name for p in _drain(queue)] == ["z-early.pcap", "a-late.pcap"]
 
     def test_len_counts_pending_only(self, tmp_path):
-        queue = IngestQueue()
-        queue.offer([_drop(tmp_path, "a.pcap")])
+        queue = BoundedIngestQueue()
+        queue.offer(None, [_drop(tmp_path, "a.pcap")])
         assert len(queue) == 1
-        queue.drain()
+        _drain(queue)
         assert len(queue) == 0
 
 
